@@ -181,8 +181,9 @@ impl Default for EngineConfig {
 #[derive(Debug)]
 pub struct StreamingEngine {
     alg: Box<dyn Algorithm>,
+    /// The one evolving graph: its maintained CSR pair is what every
+    /// phase traverses.
     host: AdjacencyGraph,
-    csr: CsrPair,
     values: Vec<Value>,
     dependency: Vec<Option<VertexId>>,
     impacted: Vec<VertexId>,
@@ -295,7 +296,6 @@ pub(crate) fn check_checkpoint_state(
 impl StreamingEngine {
     /// Creates an engine over `host` (the evolving graph) for `alg`.
     pub fn new(alg: Box<dyn Algorithm>, host: AdjacencyGraph, config: EngineConfig) -> Self {
-        let csr = host.snapshot_pair();
         let n = host.num_vertices();
         let identity = alg.identity();
         StreamingEngine {
@@ -305,7 +305,6 @@ impl StreamingEngine {
             impacted: Vec::new(),
             alg,
             host,
-            csr,
             config,
             active_slice: 0,
             stats: RunStats::default(),
@@ -345,7 +344,6 @@ impl StreamingEngine {
         config: EngineConfig,
     ) -> Result<Self, CheckpointError> {
         check_checkpoint_state(&host, &values, &dependency)?;
-        let csr = host.snapshot_pair();
         let n = host.num_vertices();
         Ok(StreamingEngine {
             queue: CoalescingQueue::new(n, config.num_bins),
@@ -354,7 +352,6 @@ impl StreamingEngine {
             impacted: Vec::new(),
             alg,
             host,
-            csr,
             config,
             active_slice: 0,
             stats: RunStats::default(),
@@ -398,9 +395,9 @@ impl StreamingEngine {
         &self.host
     }
 
-    /// The active CSR snapshot.
+    /// The active CSR pair: the host graph's own rows.
     pub fn csr(&self) -> &CsrPair {
-        &self.csr
+        self.host.pair()
     }
 
     /// Vertices reset during the most recent streaming batch (Fig. 10).
@@ -438,7 +435,7 @@ impl StreamingEngine {
         self.values.fill(identity);
         self.dependency.fill(None);
         self.tracer.begin_phase(Phase::Initial);
-        for (v, val) in self.alg.initial_events(&self.csr.out) {
+        for (v, val) in self.alg.initial_events(&self.host.pair().out) {
             let targets_start = self.tracer.targets_start();
             self.emit(Event::regular(v, val));
             self.tracer.push_target(v);
@@ -452,7 +449,7 @@ impl StreamingEngine {
             });
         }
         self.tracer.end_round();
-        self.run_queue(Phase::Initial);
+        self.run_queue(Phase::Initial, None);
         self.stats.events_coalesced = self.queue.stats().coalesced;
         #[cfg(feature = "strict-invariants")]
         debug_assert_eq!(self.validate_converged(), Ok(()), "post-compute invariant violated");
@@ -502,10 +499,10 @@ impl StreamingEngine {
             return Err(format!("queue still holds {} events", self.queue.len()));
         }
         self.queue.validate().map_err(|e| format!("queue: {e}"))?;
-        self.csr.validate().map_err(|e| format!("csr: {e}"))?;
+        self.host.pair().validate().map_err(|e| format!("csr: {e}"))?;
         kernel::validate_converged_values(
             self.alg.as_ref(),
-            &self.csr,
+            self.host.pair(),
             &self.values,
             &self.dependency,
             self.config.delete_strategy,
@@ -623,20 +620,16 @@ impl StreamingEngine {
         // `apply_batch` validates the whole batch (missing deletions,
         // duplicate insertions, out-of-range ids) before mutating, so a
         // rejected batch leaves the engine untouched, exactly like the
-        // full path. The CSR mirror is then maintained in place in
+        // full path. The CSR rows are then maintained in place in
         // O(batch · degree) instead of rebuilt in O(E).
         self.host.apply_batch(batch)?;
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
         self.impacted.clear();
         // Phase 4 of the selective flow: inserted edges become regular
         // events on the new graph; the delete phases are skipped because
         // classification proved them no-ops.
         self.stream_inserts(batch.insertions());
         self.tracer.begin_phase(Phase::Recompute);
-        self.run_queue(Phase::Recompute);
+        self.run_queue(Phase::Recompute, None);
         self.stats.events_coalesced = self.queue.stats().coalesced - coalesced_before;
         #[cfg(feature = "strict-invariants")]
         debug_assert_eq!(self.validate_converged(), Ok(()), "post-batch invariant violated");
@@ -651,10 +644,6 @@ impl StreamingEngine {
     /// Returns a [`GraphError`] when the batch is invalid.
     pub fn cold_restart(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
         self.host.apply_batch(batch)?;
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
         Ok(self.initial_compute())
     }
 
@@ -687,7 +676,10 @@ impl StreamingEngine {
     /// the order events coalesce into the next round's queue are both fixed
     /// here, a sharded run is bit-identical to this loop for any shard
     /// count.
-    fn run_queue(&mut self, phase: Phase) {
+    ///
+    /// Events traverse `graph` when given (TwoPhase's intermediate graph)
+    /// and the host graph otherwise.
+    fn run_queue(&mut self, phase: Phase, graph: Option<&CsrPair>) {
         // Slicing (§4.7) only affects spill accounting under this schedule:
         // while processing an event, the slice of its target is on-chip and
         // emissions leaving that slice count as spills.
@@ -709,7 +701,7 @@ impl StreamingEngine {
                 if let Some(cap) = slice_cap {
                     self.active_slice = ev.target as usize / cap; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
                 }
-                self.process_event(ev);
+                self.process_event(ev, graph);
             }
             self.active_slice = 0;
             self.stats.rounds += 1;
@@ -721,10 +713,10 @@ impl StreamingEngine {
         let _ = phase;
     }
 
-    fn process_event(&mut self, ev: Event) {
+    fn process_event(&mut self, ev: Event, graph: Option<&CsrPair>) {
         let cx = KernelCtx {
             alg: self.alg.as_ref(),
-            csr: &self.csr,
+            csr: graph.unwrap_or(self.host.pair()),
             delete_strategy: self.config.delete_strategy,
         };
         let mut st = SeqState {
@@ -742,7 +734,7 @@ impl StreamingEngine {
 
     fn weight_sum(&self, u: VertexId) -> Value {
         if self.alg.needs_weight_sum() {
-            self.csr.out.neighbors(u).map(|e| e.weight).sum()
+            self.host.pair().out.neighbors(u).map(|e| e.weight).sum()
         } else {
             0.0
         }
@@ -758,9 +750,9 @@ impl StreamingEngine {
     // ------------------------------------------------------------------
 
     fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // Capture deleted-edge weights before mutating, then validate and
-        // apply the batch to the host graph. The delete phase still runs on
-        // the old CSR (`self.csr` is only swapped after recovery).
+        // Capture deleted-edge weights and validate the batch without
+        // mutating: the delete phases still run on the old rows, and the
+        // batch commits at the §3.5 swap point below.
         let deleted: Vec<(VertexId, VertexId, Value)> = batch
             .deletions()
             .iter()
@@ -771,7 +763,7 @@ impl StreamingEngine {
                     .ok_or(GraphError::MissingEdge { source: u, target: v })
             })
             .collect::<Result<_, _>>()?;
-        self.host.apply_batch(batch)?;
+        let validated = self.host.validate_batch(batch)?;
         self.impacted.clear();
 
         // DAP must keep per-source delete events distinct from the very
@@ -793,7 +785,7 @@ impl StreamingEngine {
                     // deleted edge; if the source never propagated there is
                     // nothing to revert.
                     let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-                    let deg = self.csr.out.degree(u);
+                    let deg = self.host.pair().out.degree(u);
                     let wsum = self.weight_sum(u);
                     let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
                     self.alg
@@ -821,15 +813,12 @@ impl StreamingEngine {
         // Phase 2 — delete propagation on the *old* graph: tag and reset
         // every potentially impacted vertex (Algorithm 4, ResetImpacted).
         self.tracer.begin_phase(Phase::DeletePropagation);
-        self.run_queue(Phase::DeletePropagation);
+        self.run_queue(Phase::DeletePropagation, None);
         self.queue.set_coalesce_deletes(true);
 
-        // Graph switches to the new version (§3.5): the mirror is
+        // Graph switches to the new version (§3.5): the rows are
         // maintained in place in O(batch · degree) instead of rebuilt.
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
+        self.host.commit_batch(validated);
 
         // Phase 3 — request events along each impacted vertex's incoming
         // edges (Algorithm 4, Reapproximate).
@@ -838,11 +827,11 @@ impl StreamingEngine {
         let mut sources = std::mem::take(&mut self.source_scratch);
         let identity = self.alg.identity();
         for &x in &impacted {
-            let in_deg = self.csr.inc.degree(x);
+            let in_deg = self.host.pair().inc.degree(x);
             self.stats.edge_reads += in_deg as u64;
             let targets_start = self.tracer.targets_start();
             sources.clear();
-            sources.extend(self.csr.inc.neighbors(x).map(|e| e.other));
+            sources.extend(self.host.pair().inc.neighbors(x).map(|e| e.other));
             let mut count = sources.len() as u32; // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
             for &u in &sources {
                 self.stats.request_events += 1;
@@ -878,7 +867,7 @@ impl StreamingEngine {
 
         // Phase 5 — incremental reevaluation on the new graph.
         self.tracer.begin_phase(Phase::Recompute);
-        self.run_queue(Phase::Recompute);
+        self.run_queue(Phase::Recompute, None);
         Ok(())
     }
 
@@ -888,7 +877,7 @@ impl StreamingEngine {
             self.stats.stream_reads += 1;
             self.stats.vertex_reads += 1;
             let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            let deg = self.csr.out.degree(u);
+            let deg = self.host.pair().out.degree(u);
             let wsum = self.weight_sum(u);
             let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
             let targets_start = self.tracer.targets_start();
@@ -970,14 +959,10 @@ impl StreamingEngine {
             old_edges.extend(self.host.neighbors(u));
             bounds.push(old_edges.len());
         }
+        // The graph advances to the new version in O(batch · degree);
+        // phases that need the *old* adjacency use the captured slices.
         self.host.apply_batch(batch)?;
         self.impacted.clear();
-        // The CSR mirror advances to the new version in O(batch · degree);
-        // phases that need the *old* adjacency use the captured slices.
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
 
         // Phase 1 — negative events for every old out-edge of a touched
         // vertex, using the old degree/weight-sum (Algorithm 3).
@@ -1019,23 +1004,19 @@ impl StreamingEngine {
             // path through them (Fig. 5b). Untouched vertices' out-edges
             // are identical before and after the batch, so the new host
             // filtered by `touched` yields exactly the old graph's
-            // non-touched edges. The maintained mirror is parked while the
-            // intermediate computation runs and restored for Phase 2.
+            // non-touched edges; the drain traverses that graph instead of
+            // the host's.
             let intermediate_edges: Vec<(VertexId, VertexId, Value)> = self
                 .host
                 .iter_edges()
                 .filter(|(u, _, _)| touched.binary_search(u).is_err())
                 .collect();
-            let maintained = std::mem::replace(
-                &mut self.csr,
-                CsrPair::new(jetstream_graph::Csr::from_edges(
-                    self.host.num_vertices(),
-                    &intermediate_edges,
-                )),
-            );
+            let intermediate = CsrPair::new(jetstream_graph::Csr::from_edges(
+                self.host.num_vertices(),
+                &intermediate_edges,
+            ));
             self.tracer.begin_phase(Phase::IntermediateCompute);
-            self.run_queue(Phase::IntermediateCompute);
-            self.csr = maintained;
+            self.run_queue(Phase::IntermediateCompute, Some(&intermediate));
         }
 
         // Phase 2 — re-insertion events for every *new* out-edge of a
@@ -1045,9 +1026,9 @@ impl StreamingEngine {
         self.tracer.begin_phase(Phase::InsertSetup);
         let mut edges = std::mem::take(&mut self.edge_scratch);
         for (&u, &old_state) in touched.iter().zip(snapshot.iter()) {
-            let deg = self.csr.out.degree(u);
+            let deg = self.host.pair().out.degree(u);
             let wsum: Value = if self.alg.needs_weight_sum() {
-                self.csr.out.neighbors(u).map(|e| e.weight).sum()
+                self.host.pair().out.neighbors(u).map(|e| e.weight).sum()
             } else {
                 0.0
             };
@@ -1062,7 +1043,7 @@ impl StreamingEngine {
             let targets_start = self.tracer.targets_start();
             let mut generated = 0u32;
             edges.clear();
-            edges.extend(self.csr.out.neighbors(u).map(|e| (e.other, e.weight)));
+            edges.extend(self.host.pair().out.neighbors(u).map(|e| (e.other, e.weight)));
             for &(v, w) in &edges {
                 self.stats.stream_reads += 1;
                 let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
@@ -1087,10 +1068,9 @@ impl StreamingEngine {
         self.edge_scratch = edges;
         self.tracer.end_round();
 
-        // Phase 3 — recompute on the new graph version (the mirror already
-        // points at it).
+        // Phase 3 — recompute on the new graph version.
         self.tracer.begin_phase(Phase::Recompute);
-        self.run_queue(Phase::Recompute);
+        self.run_queue(Phase::Recompute, None);
         Ok(())
     }
 }

@@ -422,8 +422,9 @@ fn exchange(
 #[derive(Debug)]
 pub struct ShardedEngine {
     alg: Box<dyn Algorithm>,
+    /// The one evolving graph: its maintained CSR pair is what every
+    /// phase and worker traverses.
     host: AdjacencyGraph,
-    csr: CsrPair,
     values: Vec<Value>,
     dependency: Vec<Option<VertexId>>,
     impacted: Vec<VertexId>,
@@ -524,8 +525,7 @@ impl ShardedEngine {
         dependency: Vec<Option<VertexId>>,
     ) -> Self {
         assert!(num_shards > 0, "need at least one shard");
-        let csr = host.snapshot_pair();
-        let part = Partition::contiguous_balanced(&csr.out, num_shards as u32); // cast-ok: shard counts are small (bounded by worker threads), far below 2^32
+        let part = Partition::contiguous_balanced(&host.pair().out, num_shards as u32); // cast-ok: shard counts are small (bounded by worker threads), far below 2^32
         let ranges = part.contiguous_ranges().unwrap_or_default();
         assert_eq!(ranges.len(), num_shards, "contiguous partition must yield one range per shard");
         let mut bounds = Vec::with_capacity(num_shards + 1);
@@ -540,7 +540,6 @@ impl ShardedEngine {
         ShardedEngine {
             alg,
             host,
-            csr,
             values,
             dependency,
             impacted: Vec::new(),
@@ -591,9 +590,9 @@ impl ShardedEngine {
         &self.host
     }
 
-    /// The active CSR snapshot.
+    /// The active CSR pair: the host graph's own rows.
     pub fn csr(&self) -> &CsrPair {
-        &self.csr
+        self.host.pair()
     }
 
     /// Vertices reset during the most recent streaming batch, in the same
@@ -686,10 +685,10 @@ impl ShardedEngine {
         let identity = self.alg.identity();
         self.values.fill(identity);
         self.dependency.fill(None);
-        for (v, val) in self.alg.initial_events(&self.csr.out) {
+        for (v, val) in self.alg.initial_events(&self.host.pair().out) {
             self.seed_emit(Event::regular(v, val));
         }
-        self.run_queue();
+        self.run_queue(None);
         let mut total = self.rollup();
         // `StreamingEngine::initial_compute` reports the queue's cumulative
         // coalesce counter here (not a delta); mirror it exactly.
@@ -727,10 +726,6 @@ impl ShardedEngine {
     /// Returns a [`GraphError`] when the batch is invalid.
     pub fn cold_restart(&mut self, batch: &UpdateBatch) -> Result<RunStats, GraphError> {
         self.host.apply_batch(batch)?;
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
         Ok(self.initial_compute())
     }
 
@@ -806,16 +801,12 @@ impl ShardedEngine {
         }
         self.begin_run();
         self.host.apply_batch(batch)?;
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
         self.impacted.clear();
         // Phase 4 of the selective flow: inserted edges become regular
         // events on the new graph; the delete phases are skipped because
         // classification proved them no-ops.
         self.stream_inserts(batch.insertions());
-        self.run_queue();
+        self.run_queue(None);
         let mut total = self.rollup();
         total.events_coalesced = self.queue_stats().coalesced - self.coalesced_before;
         #[cfg(feature = "strict-invariants")]
@@ -844,10 +835,10 @@ impl ShardedEngine {
         for (s, sh) in self.shards.iter().enumerate() {
             sh.queue.validate().map_err(|e| format!("shard {s} queue: {e}"))?;
         }
-        self.csr.validate().map_err(|e| format!("csr: {e}"))?;
+        self.host.pair().validate().map_err(|e| format!("csr: {e}"))?;
         kernel::validate_converged_values(
             self.alg.as_ref(),
-            &self.csr,
+            self.host.pair(),
             &self.values,
             &self.dependency,
             self.config.delete_strategy,
@@ -893,7 +884,7 @@ impl ShardedEngine {
 
     fn weight_sum(&self, u: VertexId) -> Value {
         if self.alg.needs_weight_sum() {
-            self.csr.out.neighbors(u).map(|e| e.weight).sum()
+            self.host.pair().out.neighbors(u).map(|e| e.weight).sum()
         } else {
             0.0
         }
@@ -909,14 +900,16 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
 
     /// Drains the pending seed inboxes to convergence with one worker
-    /// thread per shard, in the selected [`ExecutionMode`].
-    fn run_queue(&mut self) {
+    /// thread per shard, in the selected [`ExecutionMode`]. Events
+    /// traverse `graph` when given (TwoPhase's intermediate graph) and the
+    /// host graph otherwise.
+    fn run_queue(&mut self, graph: Option<&CsrPair>) {
         if self.pending.iter().all(Vec::is_empty) {
             return;
         }
         match self.mode {
-            ExecutionMode::Deterministic => self.run_queue_superstep(),
-            ExecutionMode::Async => self.run_queue_async(),
+            ExecutionMode::Deterministic => self.run_queue_superstep(graph),
+            ExecutionMode::Async => self.run_queue_async(graph),
         }
     }
 
@@ -935,7 +928,7 @@ impl ShardedEngine {
     /// to [`crate::async_mode`], then folds the workers' pass costs into
     /// the scaling model (critical path = the slowest worker's total, the
     /// bound an ideally overlapped async schedule could reach).
-    fn run_queue_async(&mut self) {
+    fn run_queue_async(&mut self, graph: Option<&CsrPair>) {
         let yields = self.yield_intervals();
         let chunks: Vec<usize> = (0..self.shards.len())
             .map(|i| match self.chunk_plan.as_slice() {
@@ -947,7 +940,7 @@ impl ShardedEngine {
         let coalesce_deletes = self.coalesce_deletes;
         let ShardedEngine {
             alg,
-            csr,
+            host,
             values,
             dependency,
             shards,
@@ -958,6 +951,7 @@ impl ShardedEngine {
             race_log,
             ..
         } = self;
+        let csr = graph.unwrap_or(host.pair());
         let seeds: Vec<Vec<Event>> =
             pending.iter_mut().map(|p| p.drain(..).map(|k| k.ev).collect()).collect();
         let params = crate::async_mode::AsyncParams {
@@ -992,13 +986,13 @@ impl ShardedEngine {
 
     /// The deterministic superstep driver: exchange emissions at a barrier
     /// between rounds, merged in canonical key order.
-    fn run_queue_superstep(&mut self) {
+    fn run_queue_superstep(&mut self, graph: Option<&CsrPair>) {
         let coalesce_deletes = self.coalesce_deletes;
         let yields = self.yield_intervals();
         let delete_strategy = self.config.delete_strategy;
         let ShardedEngine {
             alg,
-            csr,
+            host,
             values,
             dependency,
             shards,
@@ -1011,7 +1005,7 @@ impl ShardedEngine {
             ..
         } = self;
         let alg: &dyn Algorithm = alg.as_ref();
-        let csr: &CsrPair = csr;
+        let csr: &CsrPair = graph.unwrap_or(host.pair());
         let num_shards = shards.len();
         let mut inboxes: Vec<Vec<Keyed>> = pending.iter_mut().map(std::mem::take).collect();
 
@@ -1176,8 +1170,9 @@ impl ShardedEngine {
     // ------------------------------------------------------------------
 
     fn stream_selective(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
-        // Capture deleted-edge weights before mutating, then validate and
-        // apply the batch. Delete propagation runs on the old CSR.
+        // Capture deleted-edge weights and validate the batch without
+        // mutating: delete propagation runs on the old rows, and the batch
+        // commits at the §3.5 swap point below.
         let deleted: Vec<(VertexId, VertexId, Value)> = batch
             .deletions()
             .iter()
@@ -1188,7 +1183,7 @@ impl ShardedEngine {
                     .ok_or(GraphError::MissingEdge { source: u, target: v })
             })
             .collect::<Result<_, _>>()?;
-        self.host.apply_batch(batch)?;
+        let validated = self.host.validate_batch(batch)?;
         self.impacted.clear();
         for sh in &mut self.shards {
             sh.impacted.clear();
@@ -1205,7 +1200,7 @@ impl ShardedEngine {
                 DeleteStrategy::Tag => Some(Event::delete(u, v, self.alg.identity())),
                 DeleteStrategy::Vap => {
                     let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-                    let deg = self.csr.out.degree(u);
+                    let deg = self.host.pair().out.degree(u);
                     let wsum = self.weight_sum(u);
                     let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
                     self.alg
@@ -1220,15 +1215,12 @@ impl ShardedEngine {
         }
 
         // Phase 2 — delete propagation on the *old* graph.
-        self.run_queue();
+        self.run_queue(None);
         self.coalesce_deletes = true;
 
-        // Graph switches to the new version: the mirror is maintained in
+        // Graph switches to the new version: the rows are maintained in
         // place in O(batch · degree) instead of rebuilt.
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
+        self.host.commit_batch(validated);
 
         // Phase 3 — request events along each impacted vertex's incoming
         // edges. Workers tagged each reset with (round, emission key base);
@@ -1251,10 +1243,10 @@ impl ShardedEngine {
         let mut sources = std::mem::take(&mut self.source_scratch);
         let identity = self.alg.identity();
         for &x in &impacted {
-            let in_deg = self.csr.inc.degree(x);
+            let in_deg = self.host.pair().inc.degree(x);
             self.stats.edge_reads += in_deg as u64;
             sources.clear();
-            sources.extend(self.csr.inc.neighbors(x).map(|e| e.other));
+            sources.extend(self.host.pair().inc.neighbors(x).map(|e| e.other));
             for &u in &sources {
                 self.stats.request_events += 1;
                 self.seed_emit(Event::request(u, identity));
@@ -1272,7 +1264,7 @@ impl ShardedEngine {
         self.stream_inserts(batch.insertions());
 
         // Phase 5 — incremental reevaluation on the new graph.
-        self.run_queue();
+        self.run_queue(None);
         Ok(())
     }
 
@@ -1281,7 +1273,7 @@ impl ShardedEngine {
             self.stats.stream_reads += 1;
             self.stats.vertex_reads += 1;
             let state = self.values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-            let deg = self.csr.out.degree(u);
+            let deg = self.host.pair().out.degree(u);
             let wsum = self.weight_sum(u);
             let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
             if let Some(d) = self.alg.propagate(state, state, &ctx) {
@@ -1343,17 +1335,13 @@ impl ShardedEngine {
             old_edges.extend(self.host.neighbors(u));
             bounds.push(old_edges.len());
         }
+        // The graph advances to the new version in O(batch · degree);
+        // phases that need the *old* adjacency use the captured slices.
         self.host.apply_batch(batch)?;
         self.impacted.clear();
         for sh in &mut self.shards {
             sh.impacted.clear();
         }
-        // The CSR mirror advances to the new version in O(batch · degree);
-        // phases that need the *old* adjacency use the captured slices.
-        #[allow(clippy::expect_used)] // invariant: `host` validated the batch above
-        self.csr
-            .apply_batch(batch)
-            .expect("invariant: host-validated batch applies to the CSR mirror");
 
         // Phase 1 — negative events for every old out-edge of a touched
         // vertex, using the old degree/weight-sum.
@@ -1379,31 +1367,26 @@ impl ShardedEngine {
             // Converge on the intermediate sink-transformed graph first.
             // Untouched vertices' out-edges are identical before and after
             // the batch, so filtering the new host by `touched` yields
-            // exactly the old graph's non-touched edges. The maintained
-            // mirror is parked while the intermediate computation runs and
-            // restored for Phase 2.
+            // exactly the old graph's non-touched edges; the drain
+            // traverses that graph instead of the host's.
             let intermediate_edges: Vec<(VertexId, VertexId, Value)> = self
                 .host
                 .iter_edges()
                 .filter(|(u, _, _)| touched.binary_search(u).is_err())
                 .collect();
-            let maintained = std::mem::replace(
-                &mut self.csr,
-                CsrPair::new(jetstream_graph::Csr::from_edges(
-                    self.host.num_vertices(),
-                    &intermediate_edges,
-                )),
-            );
-            self.run_queue();
-            self.csr = maintained;
+            let intermediate = CsrPair::new(jetstream_graph::Csr::from_edges(
+                self.host.num_vertices(),
+                &intermediate_edges,
+            ));
+            self.run_queue(Some(&intermediate));
         }
 
         // Phase 2 — re-insertion events over the new out-edges.
         let mut edges = std::mem::take(&mut self.edge_scratch);
         for (&u, &old_state) in touched.iter().zip(snapshot.iter()) {
-            let deg = self.csr.out.degree(u);
+            let deg = self.host.pair().out.degree(u);
             let wsum: Value = if self.alg.needs_weight_sum() {
-                self.csr.out.neighbors(u).map(|e| e.weight).sum()
+                self.host.pair().out.neighbors(u).map(|e| e.weight).sum()
             } else {
                 0.0
             };
@@ -1413,7 +1396,7 @@ impl ShardedEngine {
             };
             self.stats.vertex_reads += 1;
             edges.clear();
-            edges.extend(self.csr.out.neighbors(u).map(|e| (e.other, e.weight)));
+            edges.extend(self.host.pair().out.neighbors(u).map(|e| (e.other, e.weight)));
             for &(v, w) in &edges {
                 self.stats.stream_reads += 1;
                 let ctx = EdgeCtx { weight: w, out_degree: deg, weight_sum: wsum };
@@ -1427,9 +1410,8 @@ impl ShardedEngine {
         edges.clear();
         self.edge_scratch = edges;
 
-        // Phase 3 — recompute on the new graph version (the mirror already
-        // points at it).
-        self.run_queue();
+        // Phase 3 — recompute on the new graph version.
+        self.run_queue(None);
         Ok(())
     }
 }

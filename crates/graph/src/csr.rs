@@ -30,7 +30,7 @@ pub struct EdgeRef {
 /// neighbor order per row, deterministic iteration — that the kernel's
 /// traversal and the differential test matrix rely on. The in-place
 /// maintenance entry points live in the [`dcsr`](crate::dcsr) module.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Csr {
     pub(crate) starts: Vec<usize>,
     pub(crate) lens: Vec<usize>,
@@ -307,7 +307,7 @@ impl Csr {
 /// issuing *request* events in the re-approximation phase (§3.4), so the host
 /// maintains both structures (§4.7). Both views are delta-maintainable in
 /// place via [`CsrPair::apply_batch`](crate::CsrPair::apply_batch).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CsrPair {
     /// Outgoing-edge CSR.
     pub out: Csr,

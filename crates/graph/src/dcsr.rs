@@ -10,19 +10,21 @@
 //! Deletes shift within the row and leave the freed slot as reusable
 //! slack; relocation abandons the old extent as a tombstoned hole. When
 //! dead + slack space exceeds the live edge count (plus a fixed slop so
-//! tiny graphs never thrash), the arena is compacted back to dense in
-//! `O(V + E)` — amortized over the ≥ `E` maintenance operations it took
-//! to create that much garbage, so the per-update cost stays `O(degree)`.
+//! tiny graphs never thrash), the arena is compacted in `O(V + E)` —
+//! amortized over the ≥ `E` maintenance operations it took to create that
+//! much garbage, so the per-update cost stays `O(degree)`. Compaction
+//! keeps a quarter of each row's length as slack, so the rows a churning
+//! stream keeps editing do not all relocate (and re-create the garbage)
+//! right after it.
 //!
 //! # Contract
 //!
 //! Maintenance assumes a *simple* graph (no parallel edges), which is what
-//! [`AdjacencyGraph`](crate::AdjacencyGraph) enforces before any engine
-//! calls in here; rows with parallel edges (possible via
-//! [`Csr::from_edges`]) remain readable but must not be maintained. On
-//! `Err` the pair may be partially updated and must be discarded — the
-//! engines only apply batches the host graph has already validated, so
-//! they never hit this path.
+//! [`AdjacencyGraph`](crate::AdjacencyGraph) — the validating shell the
+//! engines mutate — enforces before it calls in here; rows with parallel
+//! edges (possible via [`Csr::from_edges`]) remain readable but must not be
+//! maintained. [`CsrPair::apply_batch`] itself does not validate: on `Err`
+//! the pair may be partially updated and must be discarded.
 
 use crate::{Csr, CsrPair, GraphError, UpdateBatch, VertexId, Weight};
 
@@ -34,6 +36,11 @@ const MIN_ROW_CAP: usize = 4;
 /// compaction, so small graphs keep their slack instead of re-densifying
 /// after every batch.
 const COMPACT_SLOP: usize = 64;
+
+/// Compaction leaves each row `len / COMPACT_SLACK_DIV` slack slots, so
+/// inserts into recently compacted rows land in place instead of
+/// relocating the row and making garbage again.
+const COMPACT_SLACK_DIV: usize = 4;
 
 impl Csr {
     /// Inserts `u -> v` with weight `w`, keeping row `u` sorted.
@@ -48,21 +55,26 @@ impl Csr {
     pub fn insert_sorted(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<(), GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
-        let ui = u as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        let start = self.starts[ui];
-        let len = self.lens[ui];
+        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let ui = u as usize;
+        // panic-ok: check_vertex proved ui < num_vertices, and every descriptor array has that length
+        let (start, len, cap) = (self.starts[ui], self.lens[ui], self.caps[ui]);
+        // panic-ok: validate() invariant: a row's extent start + cap lies inside the arena, and len <= cap
         match self.targets[start..start + len].binary_search(&v) {
             Ok(_) => Err(GraphError::DuplicateEdge { source: u, target: v }),
             Err(pos) => {
-                if len < self.caps[ui] {
+                if len < cap {
                     // Room in the row's slack: shift the tail one slot right.
                     self.targets.copy_within(start + pos..start + len, start + pos + 1);
                     self.weights.copy_within(start + pos..start + len, start + pos + 1);
+                    // panic-ok: pos <= len < cap, so the slot is inside the row's extent
                     self.targets[start + pos] = v;
+                    // panic-ok: the weight arena has the target arena's length
                     self.weights[start + pos] = w;
                 } else {
                     self.relocate_insert(ui, pos, v, w);
                 }
+                // panic-ok: check_vertex proved ui < num_vertices, and every descriptor array has that length
                 self.lens[ui] += 1;
                 self.live += 1;
                 Ok(())
@@ -80,14 +92,18 @@ impl Csr {
     pub fn remove_sorted(&mut self, u: VertexId, v: VertexId) -> Result<Weight, GraphError> {
         self.check_vertex(u)?;
         self.check_vertex(v)?;
-        let ui = u as usize; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
-        let start = self.starts[ui];
-        let len = self.lens[ui];
+        // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let ui = u as usize;
+        // panic-ok: check_vertex proved ui < num_vertices, and every descriptor array has that length
+        let (start, len) = (self.starts[ui], self.lens[ui]);
+        // panic-ok: validate() invariant: a row's extent start + cap lies inside the arena, and len <= cap
         match self.targets[start..start + len].binary_search(&v) {
             Ok(pos) => {
+                // panic-ok: pos is a binary_search hit inside the row's live extent
                 let w = self.weights[start + pos];
                 self.targets.copy_within(start + pos + 1..start + len, start + pos);
                 self.weights.copy_within(start + pos + 1..start + len, start + pos);
+                // panic-ok: check_vertex proved ui < num_vertices, and every descriptor array has that length
                 self.lens[ui] -= 1;
                 self.live -= 1;
                 Ok(w)
@@ -110,25 +126,28 @@ impl Csr {
     /// way. The old extent is abandoned as a tombstoned hole for the next
     /// compaction.
     fn relocate_insert(&mut self, ui: usize, pos: usize, v: VertexId, w: Weight) {
-        let old_start = self.starts[ui];
-        let len = self.lens[ui];
+        // panic-ok: callers pass a row index that check_vertex proved in range
+        let (old_start, len) = (self.starts[ui], self.lens[ui]);
         let new_cap = (len + len / 2 + 1).max(MIN_ROW_CAP);
         let new_start = self.targets.len();
         self.targets.resize(new_start + new_cap, 0);
         self.weights.resize(new_start + new_cap, 0.0);
         self.targets.copy_within(old_start..old_start + pos, new_start);
         self.weights.copy_within(old_start..old_start + pos, new_start);
+        // panic-ok: pos <= len < new_cap, and both arenas were just resized past new_start + new_cap
         self.targets[new_start + pos] = v;
+        // panic-ok: pos <= len < new_cap, and both arenas were just resized past new_start + new_cap
         self.weights[new_start + pos] = w;
         self.targets.copy_within(old_start + pos..old_start + len, new_start + pos + 1);
         self.weights.copy_within(old_start + pos..old_start + len, new_start + pos + 1);
+        // panic-ok: callers pass a row index that check_vertex proved in range
         self.starts[ui] = new_start;
+        // panic-ok: callers pass a row index that check_vertex proved in range
         self.caps[ui] = new_cap;
     }
 
-    /// Compacts the arena back to dense layout (zero slack, no holes) when
-    /// dead + slack space exceeds the live edge count plus a fixed slop.
-    /// `O(V + E)`, amortized over the maintenance that produced the
+    /// Compacts the arena (no holes, a quarter of each row as slack) when
+    /// dead + slack space exceeds the live edge count plus a fixed slop. `O(V + E)`, amortized over the maintenance that produced the
     /// garbage.
     pub fn maybe_compact(&mut self) -> bool {
         if self.targets.len() > self.live * 2 + COMPACT_SLOP {
@@ -139,16 +158,24 @@ impl Csr {
         }
     }
 
+    /// Lays every row out afresh in vertex order with `len / 4` zeroed
+    /// slack slots, dropping holes: the arena ends at most `1.25 · live`
+    /// slots, well under the `2 · live + slop` trigger.
     fn compact(&mut self) {
-        let mut targets = Vec::with_capacity(self.live);
-        let mut weights = Vec::with_capacity(self.live);
-        for ui in 0..self.starts.len() {
-            let start = self.starts[ui];
-            let len = self.lens[ui];
-            self.starts[ui] = targets.len();
-            self.caps[ui] = len;
-            targets.extend_from_slice(&self.targets[start..start + len]);
-            weights.extend_from_slice(&self.weights[start..start + len]);
+        let slots = self.live + self.live / COMPACT_SLACK_DIV;
+        let mut targets = Vec::with_capacity(slots);
+        let mut weights = Vec::with_capacity(slots);
+        let rows = self.starts.iter_mut().zip(&self.lens).zip(&mut self.caps);
+        for ((start, &len), cap) in rows {
+            let old = *start;
+            *start = targets.len();
+            *cap = len + len / COMPACT_SLACK_DIV;
+            // panic-ok: validate() invariant: a row's extent start + cap lies inside the arena, and len <= cap
+            targets.extend_from_slice(&self.targets[old..old + len]);
+            // panic-ok: validate() invariant: a row's extent start + cap lies inside the arena, and len <= cap
+            weights.extend_from_slice(&self.weights[old..old + len]);
+            targets.resize(targets.len() + *cap - len, 0);
+            weights.resize(weights.len() + *cap - len, 0.0);
         }
         self.targets = targets;
         self.weights = weights;
@@ -170,8 +197,9 @@ impl CsrPair {
     ///
     /// Returns the first [`GraphError`] hit (missing deletion, duplicate
     /// insertion, out-of-range endpoint). **On error the pair may be
-    /// partially updated and must be discarded** — validate batches
-    /// against the host graph first, as the engines do.
+    /// partially updated and must be discarded** — validate batches first,
+    /// as [`AdjacencyGraph::apply_batch`](crate::AdjacencyGraph::apply_batch)
+    /// does.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), GraphError> {
         for &(u, v) in batch.deletions() {
             self.out.remove_sorted(u, v)?;
@@ -184,9 +212,14 @@ impl CsrPair {
             self.out.insert_sorted(u, v, w)?;
             self.inc.insert_sorted(v, u, w)?;
         }
+        self.maybe_compact();
+        Ok(())
+    }
+
+    /// Runs [`Csr::maybe_compact`] on both views.
+    pub(crate) fn maybe_compact(&mut self) {
         self.out.maybe_compact();
         self.inc.maybe_compact();
-        Ok(())
     }
 }
 
@@ -253,49 +286,37 @@ mod tests {
     }
 
     #[test]
-    fn compaction_restores_dense_arena() {
-        let mut g = Csr::empty(8);
-        // Grow rows enough to force relocations, then delete everything:
-        // the arena is now mostly garbage and must compact.
-        for u in 0..8u32 {
-            for v in 0..8u32 {
-                if u != v {
-                    g.insert_sorted(u, v, 1.0).expect("insert of a new edge succeeds");
-                }
-            }
-        }
-        for u in 0..8u32 {
-            for v in 0..8u32 {
-                if u != v && v % 2 == 0 {
-                    g.remove_sorted(u, v).expect("edge exists");
-                }
-            }
-        }
+    fn compaction_keeps_a_quarter_of_each_row_as_slack() {
+        // Rows of 40, 9, 3 and 0 edges; rows 0 and 1 then grow by one,
+        // relocating to the arena tail and leaving holes behind.
+        let mut edges: Vec<(VertexId, VertexId, Weight)> = (1..=40).map(|v| (0, v, 1.0)).collect();
+        edges.extend((2..=10).map(|v| (1, v, 2.0)));
+        edges.extend((3..=5).map(|v| (2, v, 3.0)));
+        let mut g = Csr::from_edges(48, &edges);
+        g.insert_sorted(0, 41, 4.0).expect("insert of a new edge succeeds");
+        g.insert_sorted(1, 11, 5.0).expect("insert of a new edge succeeds");
+        g.remove_sorted(0, 41).expect("edge exists");
+        g.remove_sorted(1, 11).expect("edge exists");
+        let rows: Vec<Vec<VertexId>> = (0..4).map(|u| g.neighbor_targets(u).to_vec()).collect();
+        g.compact();
         assert_eq!(g.validate(), Ok(()));
-        let live = g.num_edges();
-        while !g.maybe_compact() {
-            // Keep shrinking until the policy fires (small graphs sit
-            // under the slop; force it by dropping the slop's worth).
-            let before = g.num_edges();
-            'outer: for u in 0..8u32 {
-                for v in 0..8u32 {
-                    if g.has_edge(u, v) {
-                        g.remove_sorted(u, v).expect("edge exists");
-                        break 'outer;
-                    }
-                }
-            }
-            if g.num_edges() == before {
-                break;
-            }
+        // Rows in vertex order, no holes, cap = len + len / 4.
+        assert_eq!(&g.starts[..4], &[0, 50, 61, 64]);
+        assert_eq!(&g.caps[..4], &[50, 11, 3, 0]);
+        assert_eq!(g.arena_slots(), 64);
+        for (u, row) in rows.iter().enumerate() {
+            assert_eq!(g.neighbor_targets(u as VertexId), row.as_slice());
+            let (start, len, cap) = (g.starts[u], g.lens[u], g.caps[u]);
+            assert!(g.targets[start + len..start + cap].iter().all(|&t| t == 0));
+            assert!(g.weights[start + len..start + cap].iter().all(|&w| w == 0.0));
         }
-        let _ = live;
+        // The slack absorbs inserts in place: no relocation, no growth.
+        for v in 41..=47 {
+            g.insert_sorted(0, v, 6.0).expect("insert of a new edge succeeds");
+        }
+        assert_eq!(g.starts[0], 0);
+        assert_eq!(g.arena_slots(), 64);
         assert_eq!(g.validate(), Ok(()));
-        // After a compaction (or a fully-drained graph) the arena is tight.
-        if g.num_edges() == 0 {
-            g.compact();
-        }
-        assert!(g.arena_slots() <= g.num_edges() * 2 + 64);
     }
 
     #[test]
@@ -355,6 +376,8 @@ mod tests {
             }
         }
         assert_eq!(compactions, 1, "exactly one removal crosses the bound");
+        // The compaction left the 5 survivors a quarter-row of slack.
+        assert_eq!((g.num_edges(), g.caps[0], g.arena_slots()), (5, 6, 6));
     }
 
     // kills jm-0fa5ad55 (dcsr.rs len-off-by-one: relocation start past the

@@ -8,9 +8,10 @@
 //! * [`CsrPair`] — out-edge and in-edge CSR for the same graph; JetStream
 //!   needs incoming edges to issue *request* events during recovery.
 //! * [`AdjacencyGraph`] — the host-side mutable, versioned graph. The paper
-//!   assumes the host maintains the evolving edge list and writes fresh CSR
-//!   snapshots into accelerator memory after each batch; `AdjacencyGraph`
-//!   plays that role.
+//!   assumes the host maintains the evolving edge list and hands the
+//!   accelerator a CSR of each version; `AdjacencyGraph` plays that role
+//!   by validating batches in front of a delta-maintained [`CsrPair`] that
+//!   the engines read directly.
 //! * [`UpdateBatch`] / [`EdgeUpdate`] — batched edge insertions and deletions
 //!   (graph *mutations* in the paper's terminology).
 //! * [`gen`] — deterministic synthetic dataset generators standing in for the
@@ -61,7 +62,7 @@ pub mod versioned;
 
 pub use csr::{Csr, CsrPair, EdgeRef};
 pub use error::GraphError;
-pub use mutable::AdjacencyGraph;
+pub use mutable::{AdjacencyGraph, ValidatedBatch};
 pub use update::{EdgeUpdate, UpdateBatch, UpdateRejection};
 
 /// Identifier of a vertex. Graphs are addressed `0..num_vertices`.

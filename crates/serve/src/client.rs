@@ -187,7 +187,7 @@ impl Client {
     }
 
     /// Reads the dependence path from the root to `vertex` (empty when
-    /// the vertex is unreached or the algorithm keeps no tree).
+    /// the vertex is out of range or unreached).
     ///
     /// # Errors
     ///

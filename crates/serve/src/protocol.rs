@@ -136,8 +136,8 @@ pub enum Response {
     /// Answer to `QueryPath`: dependence chain root → vertex.
     Path {
         /// The chain, starting at the tree root and ending at the queried
-        /// vertex; empty when the vertex is unreached or the algorithm
-        /// records no dependencies.
+        /// vertex; empty when the vertex is out of range or unreached (no
+        /// recorded parent and not seeded by the algorithm's initializer).
         vertices: Vec<u32>,
     },
     /// An admission batch finished applying and the engine re-converged.

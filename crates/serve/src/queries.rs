@@ -10,6 +10,7 @@
 //! serves every backend: the sequential [`StreamingEngine`] and the
 //! [`ShardedEngine`] (superstep or async) convert into it for free.
 
+use jetstream_algorithms::Algorithm;
 use jetstream_core::{ShardedEngine, StreamingEngine};
 use jetstream_graph::VertexId;
 
@@ -22,6 +23,9 @@ pub struct QueryState<'a> {
     pub dependencies: &'a [Option<VertexId>],
     /// Vertices reset by the most recent batch's delete recovery.
     pub impacted: &'a [VertexId],
+    /// The evaluated algorithm: its initializer tells roots from
+    /// unreached vertices.
+    pub alg: &'a dyn Algorithm,
 }
 
 impl<'a> From<&'a StreamingEngine> for QueryState<'a> {
@@ -30,6 +34,7 @@ impl<'a> From<&'a StreamingEngine> for QueryState<'a> {
             values: engine.values(),
             dependencies: engine.dependencies(),
             impacted: engine.last_impacted(),
+            alg: engine.algorithm(),
         }
     }
 }
@@ -40,6 +45,7 @@ impl<'a> From<&'a ShardedEngine> for QueryState<'a> {
             values: engine.values(),
             dependencies: engine.dependencies(),
             impacted: engine.last_impacted(),
+            alg: engine.algorithm(),
         }
     }
 }
@@ -64,11 +70,17 @@ pub fn impacted<'a>(state: impl Into<QueryState<'a>>) -> Vec<VertexId> {
 /// from `vertex`; the walk is capped at `num_vertices` hops, so a
 /// (never-expected) cycle in the recorded tree terminates instead of
 /// spinning. Returns an empty chain when the vertex is out of range or
-/// the algorithm records no dependency for it and is not its own root.
+/// unreached: it has no recorded dependency and the algorithm's
+/// initializer does not seed it (it is not a root).
 pub fn dependence_path<'a>(state: impl Into<QueryState<'a>>, vertex: VertexId) -> Vec<VertexId> {
-    let deps = state.into().dependencies;
-    if vertex as usize >= deps.len() {
-        return Vec::new();
+    let state = state.into();
+    let deps = state.dependencies;
+    // A vertex heads a chain only if it has a recorded parent or is a
+    // root the initializer seeds; unreached vertices have no path.
+    match deps.get(vertex as usize) {
+        Some(Some(_)) => {}
+        Some(None) if state.alg.initial_event(vertex).is_some() => {}
+        _ => return Vec::new(),
     }
     let mut chain = vec![vertex];
     let mut at = vertex;
@@ -85,9 +97,6 @@ pub fn dependence_path<'a>(state: impl Into<QueryState<'a>>, vertex: VertexId) -
             None => break,
         }
     }
-    // A vertex with no recorded parent is a chain only if it terminates a
-    // real walk or is genuinely a root (identity-valued vertices in
-    // selective algorithms have no parent and no path).
     chain.reverse();
     chain
 }
@@ -125,6 +134,22 @@ mod tests {
         assert_eq!(dependence_path(&e, 4), vec![0, 1, 2, 3, 4]);
         assert_eq!(dependence_path(&e, 0), vec![0]);
         assert!(dependence_path(&e, 99).is_empty());
+    }
+
+    #[test]
+    fn unreached_vertex_has_an_empty_path() {
+        // Vertex 3 has no in-edges: SSSP from 0 never reaches it, so it
+        // keeps the identity value, no parent, and is not the root.
+        let mut g = AdjacencyGraph::new(4);
+        g.insert_edge(0, 1, 1.0).unwrap();
+        g.insert_edge(1, 2, 1.0).unwrap();
+        g.insert_edge(3, 2, 5.0).unwrap();
+        let mut e = StreamingEngine::new(Workload::Sssp.instantiate(0), g, EngineConfig::default());
+        e.initial_compute();
+        assert_eq!(vertex_value(&e, 3), Some(f64::INFINITY));
+        assert!(dependence_path(&e, 3).is_empty());
+        assert_eq!(dependence_path(&e, 2), vec![0, 1, 2]);
+        assert_eq!(dependence_path(&e, 0), vec![0]);
     }
 
     #[test]

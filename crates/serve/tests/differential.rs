@@ -231,3 +231,32 @@ fn serve_error_formats_are_stable() {
     let err = ServeError::Frame(jetstream_serve::framing::FrameError::Truncated);
     assert!(err.to_string().contains("mid-frame"));
 }
+
+/// `QueryPath` on a live server: an unreached vertex answers with an empty
+/// chain, the root with itself, and a reached vertex with its chain.
+#[test]
+fn query_path_of_an_unreached_vertex_is_empty() {
+    // Vertex 4 has no in-edges, so SSSP from 0 never reaches it.
+    let mut g = AdjacencyGraph::new(5);
+    g.insert_edge(0, 1, 1.0).unwrap();
+    g.insert_edge(1, 2, 1.0).unwrap();
+    g.insert_edge(4, 3, 1.0).unwrap();
+    let mut engine =
+        StreamingEngine::new(Workload::Sssp.instantiate(0), g, EngineConfig::default());
+    engine.initial_compute();
+    let handle = start(
+        Backend::Volatile(Box::new(engine)),
+        ServerConfig::default(),
+        &[Endpoint::Tcp("127.0.0.1:0".into())],
+    )
+    .unwrap();
+    let addr = handle.tcp_addr().expect("tcp endpoint").to_string();
+    let mut client = Client::connect_tcp(&addr).unwrap();
+    client.hello("path-probe").unwrap();
+    assert_eq!(client.query_path(4).unwrap(), Vec::<u32>::new());
+    assert_eq!(client.query_path(3).unwrap(), Vec::<u32>::new());
+    assert_eq!(client.query_path(0).unwrap(), vec![0]);
+    assert_eq!(client.query_path(2).unwrap(), vec![0, 1, 2]);
+    drop(client);
+    handle.shutdown();
+}
