@@ -20,7 +20,8 @@ use crate::SoftwareStats;
 ///    tree's children.
 /// 3. **Trimming** — every tagged vertex rebuilds a *trimmed approximation*
 ///    by reading all of its (untagged) in-neighbors' current values — the
-///    scattered random reads JetStream's coalesced request events replace.
+///    same reads JetStream's re-approximation makes, which there become
+///    events that coalesce in the queue (DESIGN.md §3.1).
 /// 4. **Reconvergence** — synchronous BSP push rounds from the tagged and
 ///    inserted frontier until no value changes.
 ///

@@ -7,8 +7,9 @@
 //!   algorithms — implemented in [`KickStarter`]: BSP push-style value
 //!   iteration with a dependency tree; on deletion it tags the transitively
 //!   dependent vertices, resets them, *trims* their approximations by
-//!   re-reading all in-neighbor states (the random-read overhead JetStream's
-//!   request events eliminate), and reconverges synchronously.
+//!   re-reading all in-neighbor states (JetStream's re-approximation reads
+//!   the same in-neighbours, as queued events), and reconverges
+//!   synchronously.
 //! * **GraphBolt** (Mariappan & Vora, EuroSys'19) for *accumulative*
 //!   algorithms — implemented in [`GraphBolt`]: synchronous (Jacobi)
 //!   iterations with per-iteration aggregation history; a mutation

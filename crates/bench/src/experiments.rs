@@ -355,17 +355,14 @@ pub fn ablation_recovery(scale: u32) -> Result<String, HarnessError> {
     use crate::harness::{base_and_batches, root_for, ACCUMULATIVE_EPSILON};
     use jetstream_sim::{AcceleratorSim, SimConfig};
 
-    let mut out = String::from(
-        "## Ablation — accumulative recovery flow
-
-",
-    );
+    let mut out = String::from("## Ablation — accumulative recovery flow\n\n");
     out.push_str(
-        "Two-phase is Algorithm 6 verbatim (rollback converges on the          intermediate graph before replay); coalesced queues rollback and          replay together so kept-edge contributions cancel in the queue.          Both produce identical results (tested); coalesced is the default.
-
-         | Workload | Graph | Two-phase events | Coalesced events | Two-phase ms | Coalesced ms |
-         |---|---|---|---|---|---|
-",
+        "Two-phase is Algorithm 6 verbatim (rollback converges on the \
+         intermediate graph before replay); coalesced queues rollback and \
+         replay together so kept-edge contributions cancel in the queue. \
+         Both produce identical results (tested); coalesced is the default.\n\n\
+         | Workload | Graph | Two-phase events | Coalesced events | Two-phase ms | Coalesced ms |\n\
+         |---|---|---|---|---|---|\n",
     );
     for w in [Workload::PageRank, Workload::Adsorption] {
         for p in [DatasetProfile::LiveJournal, DatasetProfile::Twitter] {
@@ -393,8 +390,7 @@ pub fn ablation_recovery(scale: u32) -> Result<String, HarnessError> {
                 cells.push((stats.events_processed, report.time_ms(sim.config())));
             }
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {:.4} | {:.4} |
-",
+                "| {} | {} | {} | {} | {:.4} | {:.4} |\n",
                 w.name(),
                 p.tag(),
                 cells[0].0,
@@ -413,17 +409,13 @@ pub fn ablation_recovery(scale: u32) -> Result<String, HarnessError> {
 pub fn ablation_slicing(scale: u32) -> String {
     use crate::harness::{base_and_batches, root_for};
 
-    let mut out = String::from(
-        "## Ablation — queue capacity and slicing
-
-",
-    );
+    let mut out = String::from("## Ablation — queue capacity and slicing\n\n");
     out.push_str(
-        "Cold SSSP evaluation of the scaled Twitter graph with the          functional engine's slice-by-slice draining (§4.7): smaller queues          mean more slices and more cross-slice event spills.
-
-         | Queue capacity (vertices) | Slices | Spilled events | Spill fraction | Simulated ms |
-         |---|---|---|---|---|
-",
+        "Cold SSSP evaluation of the scaled Twitter graph with the \
+         functional engine's slice-by-slice draining (§4.7): smaller queues \
+         mean more slices and more cross-slice event spills.\n\n\
+         | Queue capacity (vertices) | Slices | Events processed | Spilled events | Spill fraction |\n\
+         |---|---|---|---|---|\n",
     );
     let scenario = Scenario {
         rounds: 1,
@@ -438,8 +430,7 @@ pub fn ablation_slicing(scale: u32) -> String {
             StreamingEngine::new(Workload::Sssp.instantiate(root), base.clone(), config);
         let stats = engine.initial_compute();
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.3} |
-",
+            "| {} | {} | {} | {} | {:.3} |\n",
             capacity.map_or("unbounded".to_string(), |c| c.to_string()),
             engine.num_slices(),
             stats.events_processed,

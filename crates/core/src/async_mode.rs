@@ -2,7 +2,7 @@
 //!
 //! [`ExecutionMode::Async`] replaces the deterministic superstep loop of
 //! one `run_queue` call — the phase structure around it (delete
-//! propagation, request seeding, insert streaming, recompute) is
+//! propagation, in-edge pull seeding, insert streaming, recompute) is
 //! unchanged. Inside the call:
 //!
 //! * every worker drains its own [`CoalescingQueue`] continuously in

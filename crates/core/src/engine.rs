@@ -149,7 +149,7 @@ impl Default for EngineConfig {
 /// GraphPulse (Algorithm 1) and supports streaming update batches with the
 /// JetStream recovery flows:
 ///
-/// * selective algorithms: delete tagging → impacted reset → request-based
+/// * selective algorithms: delete tagging → impacted reset → in-edge pull
 ///   re-approximation → insertion events → recompute (Algorithms 4 & 5);
 /// * accumulative algorithms: sink transform → negative deltas on the
 ///   intermediate graph → re-insertion events → recompute (Algorithms 3 & 6,
@@ -202,13 +202,13 @@ pub struct StreamingEngine {
     /// touched vertices of an accumulative batch, their captured old
     /// out-edges (flattened, with prefix bounds), their value snapshot, a
     /// neighbor buffer for phases that emit while reading the CSR, and the
-    /// request-phase source list. All empty between batches.
+    /// events pulled for one reset vertex. All empty between batches.
     touched_scratch: Vec<VertexId>,
     old_edge_scratch: Vec<(VertexId, Value)>,
     old_edge_bounds: Vec<usize>,
     state_scratch: Vec<Value>,
     edge_scratch: Vec<(VertexId, Value)>,
-    source_scratch: Vec<VertexId>,
+    pull_scratch: Vec<Event>,
 }
 
 /// Why restored checkpoint state cannot be mounted on a graph.
@@ -315,7 +315,7 @@ impl StreamingEngine {
             old_edge_bounds: Vec::new(),
             state_scratch: Vec::new(),
             edge_scratch: Vec::new(),
-            source_scratch: Vec::new(),
+            pull_scratch: Vec::new(),
         }
     }
 
@@ -362,7 +362,7 @@ impl StreamingEngine {
             old_edge_bounds: Vec::new(),
             state_scratch: Vec::new(),
             edge_scratch: Vec::new(),
-            source_scratch: Vec::new(),
+            pull_scratch: Vec::new(),
         })
     }
 
@@ -820,49 +820,40 @@ impl StreamingEngine {
         // maintained in place in O(batch · degree) instead of rebuilt.
         self.host.commit_batch(validated);
 
-        // Phase 3 — request events along each impacted vertex's incoming
-        // edges (Algorithm 4, Reapproximate).
+        // Phase 3 — re-approximate each impacted vertex by pulling its
+        // in-edges (Algorithm 4, Reapproximate; DESIGN.md §3.1).
         self.tracer.begin_phase(Phase::RequestSetup);
         let impacted = std::mem::take(&mut self.impacted);
-        let mut sources = std::mem::take(&mut self.source_scratch);
-        let identity = self.alg.identity();
+        let mut pulled = std::mem::take(&mut self.pull_scratch);
         for &x in &impacted {
-            let in_deg = self.host.pair().inc.degree(x);
-            self.stats.edge_reads += in_deg as u64;
+            pulled.clear();
+            let cx = KernelCtx {
+                alg: self.alg.as_ref(),
+                csr: self.host.pair(),
+                delete_strategy: self.config.delete_strategy,
+            };
+            let in_deg = kernel::pull_in_edges(&cx, &self.values, x, &mut self.stats, &mut pulled);
             let targets_start = self.tracer.targets_start();
-            sources.clear();
-            sources.extend(self.host.pair().inc.neighbors(x).map(|e| e.other));
-            let mut count = sources.len() as u32; // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
-            for &u in &sources {
-                self.stats.request_events += 1;
-                self.emit(Event::request(u, identity));
-                self.tracer.push_target(u);
-            }
-            // Replay the initializer's contribution for the reset vertex:
-            // values seeded by InitialEvents() (the query root, CC
-            // self-labels) do not arrive over any edge, so neighbor
-            // requests alone cannot restore them.
-            if let Some(seed) = self.alg.initial_event(x) {
-                self.emit(Event::regular(x, seed));
+            for &ev in &pulled {
+                self.emit(ev);
                 self.tracer.push_target(x);
-                count += 1;
             }
             self.tracer.push_op(TraceOp {
                 vertex: x,
                 kind: OpKind::RequestSetup,
-                changed: count > 0,
-                edges_read: in_deg as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
+                changed: in_deg > 0 || !pulled.is_empty(),
+                edges_read: in_deg,
                 targets_start,
-                targets_len: count,
+                targets_len: pulled.len() as u32, // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
             });
         }
         self.impacted = impacted;
-        sources.clear();
-        self.source_scratch = sources;
+        pulled.clear();
+        self.pull_scratch = pulled;
         self.tracer.end_round();
 
         // Phase 4 — stream inserted edges into regular events
-        // (Algorithm 2); they coalesce with pending request events.
+        // (Algorithm 2); they coalesce with the pulled events.
         self.stream_inserts(batch.insertions());
 
         // Phase 5 — incremental reevaluation on the new graph.

@@ -4,7 +4,7 @@ use jetstream_graph::VertexId;
 /// A lightweight message triggering computation at its target vertex (§4.2).
 ///
 /// GraphPulse events are `(target, payload)` tuples; JetStream extends the
-/// payload with flags for the new event types (§3.3–3.4) and, under
+/// payload with a delete flag for the recovery phase (§3.3) and, under
 /// dependency-aware propagation (DAP, §5.2), with the id of the vertex whose
 /// update produced the event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,9 +17,6 @@ pub struct Event {
     /// Delete flag: this event tags/resets impacted vertices during the
     /// recovery phase (Algorithm 4).
     pub is_delete: bool,
-    /// Request flag: the receiving vertex must propagate its state to all
-    /// outgoing neighbors even if its own state does not change (§3.4).
-    pub request: bool,
     /// Source vertex that generated the event (DAP only; `None` otherwise
     /// and for initial events).
     pub source: Option<VertexId>,
@@ -28,29 +25,24 @@ pub struct Event {
 // The queue holds one potential event per vertex; any growth of this
 // struct multiplies directly into queue memory and drain bandwidth. The
 // current layout packs to 24 bytes (payload + target + Option<source> +
-// two flag bytes); see DESIGN.md §12 before relaxing the bound.
+// one flag byte); see DESIGN.md §12 before relaxing the bound.
 const _: () = assert!(std::mem::size_of::<Event>() <= 24, "Event grew past 24 bytes");
 
 impl Event {
     /// A regular value-carrying event.
     pub fn regular(target: VertexId, payload: Value) -> Self {
-        Event { target, payload, is_delete: false, request: false, source: None }
+        Event { target, payload, is_delete: false, source: None }
     }
 
     /// A regular event stamped with its source vertex (DAP).
     pub fn regular_from(source: VertexId, target: VertexId, payload: Value) -> Self {
-        Event { target, payload, is_delete: false, request: false, source: Some(source) }
-    }
-
-    /// A request event: payload is the identity so it cannot perturb state.
-    pub fn request(target: VertexId, identity: Value) -> Self {
-        Event { target, payload: identity, is_delete: false, request: true, source: None }
+        Event { target, payload, is_delete: false, source: Some(source) }
     }
 
     /// A delete event carrying the (previously propagated) contribution
     /// `payload` from `source`.
     pub fn delete(source: VertexId, target: VertexId, payload: Value) -> Self {
-        Event { target, payload, is_delete: true, request: false, source: Some(source) }
+        Event { target, payload, is_delete: true, source: Some(source) }
     }
 }
 
@@ -61,14 +53,10 @@ mod tests {
     #[test]
     fn constructors_set_flags() {
         let r = Event::regular(3, 1.5);
-        assert!(!r.is_delete && !r.request && r.source.is_none());
-
-        let q = Event::request(3, f64::INFINITY);
-        assert!(q.request && !q.is_delete);
-        assert!(q.payload.is_infinite());
+        assert!(!r.is_delete && r.source.is_none());
 
         let d = Event::delete(1, 3, 9.0);
-        assert!(d.is_delete && !d.request);
+        assert!(d.is_delete);
         assert_eq!(d.source, Some(1));
 
         let s = Event::regular_from(7, 3, 2.0);

@@ -100,14 +100,13 @@ pub(crate) fn process_event(cx: &KernelCtx<'_>, st: &mut impl ExecState, ev: Eve
             st.set_dependency(ev.target, ev.source);
         }
     }
-    let must_propagate = changed || ev.request;
     let targets_start = st.trace_targets_start();
     let (generated, edges_read) =
-        if must_propagate { propagate_regular(cx, st, ev.target, ev.payload) } else { (0, 0) };
+        if changed { propagate_regular(cx, st, ev.target, ev.payload) } else { (0, 0) };
     st.trace_push_op(TraceOp {
         vertex: ev.target,
         kind: OpKind::Apply,
-        changed: must_propagate,
+        changed,
         edges_read,
         targets_start,
         targets_len: generated,
@@ -230,6 +229,50 @@ fn propagate_deletes(
         }
     }
     (generated, deg as u32) // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
+}
+
+/// Re-approximates the reset vertex `x` by pulling over its in-edges on
+/// the new graph (Algorithm 4, Reapproximate; DESIGN.md §3.1).
+///
+/// Appends to `out` one regular event to `x` per in-neighbour `u` whose
+/// current value contributes over `(u, x)`, then `x`'s initializer
+/// contribution, if any. Every vertex that was not reset still holds its
+/// last fixed-point value, which its other out-neighbours already
+/// absorbed over each old edge, so only `x` needs it again; inserted edges
+/// are streamed separately. Counts one edge read, one vertex read and one
+/// `request_events` per in-edge in `stats`, and returns the in-degree read.
+// hot-path
+pub(crate) fn pull_in_edges(
+    cx: &KernelCtx<'_>,
+    values: &[Value],
+    x: VertexId,
+    stats: &mut RunStats,
+    out: &mut Vec<Event>,
+) -> u32 {
+    let dap = cx.dap_active();
+    for e in cx.csr.inc.neighbors(x) {
+        let u = e.other;
+        // panic-ok: u is a vertex of the graph, so u < num_vertices = values.len()
+        let state = values[u as usize]; // cast-ok: VertexId is u32 -> usize is lossless on the >=32-bit targets we support
+        let ctx = EdgeCtx {
+            weight: e.weight,
+            out_degree: cx.csr.out.degree(u),
+            weight_sum: cx.weight_sum(u),
+        };
+        if let Some(delta) = cx.alg.propagate(state, state, &ctx) {
+            out.push(if dap { Event::regular_from(u, x, delta) } else { Event::regular(x, delta) });
+        }
+    }
+    // Values seeded by InitialEvents() (the query root, CC self-labels)
+    // arrive over no edge, so the pull alone cannot restore them.
+    if let Some(seed) = cx.alg.initial_event(x) {
+        out.push(Event::regular(x, seed));
+    }
+    let in_deg = cx.csr.inc.degree(x);
+    stats.edge_reads += in_deg as u64;
+    stats.vertex_reads += in_deg as u64;
+    stats.request_events += in_deg as u64;
+    in_deg as u32 // cast-ok: count bounded by num_edges < 2^32, checked at graph construction
 }
 
 /// Value-level convergence checks shared by both engines'

@@ -5,7 +5,7 @@
 //! with streaming support — edge insertions as plain events (Algorithm 2),
 //! edge deletions via negative events for accumulative algorithms
 //! (Algorithm 3) and via delete tagging, impacted-vertex reset, and
-//! request-based re-approximation for selective algorithms (Algorithms 4–5),
+//! in-edge pull re-approximation for selective algorithms (Algorithms 4–5),
 //! plus the Value-Aware (VAP) and Dependency-Aware (DAP) propagation
 //! optimizations of §5.
 //!

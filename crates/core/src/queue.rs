@@ -32,13 +32,10 @@ impl std::ops::AddAssign for QueueStats {
 
 /// Slot flag bits packed into one byte per vertex.
 const FLAG_DELETE: u8 = 1;
-const FLAG_REQUEST: u8 = 1 << 1;
-const FLAG_SOURCE: u8 = 1 << 2;
+const FLAG_SOURCE: u8 = 1 << 1;
 
 fn flags_of(event: &Event) -> u8 {
-    u8::from(event.is_delete)
-        | if event.request { FLAG_REQUEST } else { 0 }
-        | if event.source.is_some() { FLAG_SOURCE } else { 0 }
+    u8::from(event.is_delete) | if event.source.is_some() { FLAG_SOURCE } else { 0 }
 }
 
 /// The on-chip coalescing event queue (§4.2).
@@ -186,7 +183,6 @@ impl CoalescingQueue {
             target: v as VertexId, // cast-ok: index < num_vertices <= u32::MAX, enforced at graph construction
             payload: self.payload[v], // panic-ok: v is an occupied slot index < num_vertices, the arrays' length
             is_delete: flags & FLAG_DELETE != 0,
-            request: flags & FLAG_REQUEST != 0,
             source: (flags & FLAG_SOURCE != 0).then_some(self.source[v]), // panic-ok: v is an occupied slot index < num_vertices, the arrays' length
         }
     }
@@ -195,8 +191,8 @@ impl CoalescingQueue {
     /// vertex using the algorithm's `Reduce` (§4.2).
     ///
     /// Coalescing rules:
-    /// * two regular events: payloads reduced, request flags OR-ed, and the
-    ///   source of the dominant payload retained (DAP, §5.2);
+    /// * two regular events: payloads reduced and the source of the
+    ///   dominant payload retained (DAP, §5.2);
     /// * two delete events: merged keeping the dominant payload when delete
     ///   coalescing is enabled, spilled to overflow otherwise;
     /// * a delete and a non-delete never share a slot (phases are disjoint);
@@ -254,9 +250,6 @@ impl CoalescingQueue {
                 }
             }
             self.payload[idx] = reduced; // panic-ok: idx < num_vertices asserted on entry; arrays are that long
-            if event.request {
-                self.flags[idx] |= FLAG_REQUEST; // panic-ok: idx < num_vertices asserted on entry; arrays are that long
-            }
             self.stats.coalesced += 1;
         }
     }
@@ -517,7 +510,7 @@ impl CoalescingQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jetstream_algorithms::{Algorithm, PageRank, Sssp};
+    use jetstream_algorithms::{PageRank, Sssp};
 
     fn sssp() -> Sssp {
         Sssp::new(0)
@@ -616,17 +609,6 @@ mod tests {
         q.insert(Event::regular(1, 3.0), &a);
         let evs = q.take_bin(0);
         assert_eq!(evs[0].source, None);
-    }
-
-    #[test]
-    fn request_flag_is_sticky() {
-        let mut q = CoalescingQueue::new(4, 1);
-        let a = sssp();
-        q.insert(Event::request(1, a.identity()), &a);
-        q.insert(Event::regular(1, 3.0), &a);
-        let evs = q.take_bin(0);
-        assert!(evs[0].request);
-        assert_eq!(evs[0].payload, 3.0);
     }
 
     #[test]

@@ -440,7 +440,7 @@ pub struct ShardedEngine {
     coalesce_deletes: bool,
     config: EngineConfig,
     /// Coordinator's share of the current run's counters (rounds, stream
-    /// reads, request events, seed emissions).
+    /// reads, in-edge pulls, seed emissions).
     stats: RunStats,
     coalesced_before: u64,
     /// Per-worker yield intervals (worker `i` uses `plan[i % len]`; an
@@ -460,13 +460,13 @@ pub struct ShardedEngine {
     /// touched vertices of an accumulative batch, their captured old
     /// out-edges (flattened, with prefix bounds), their value snapshot, a
     /// neighbor buffer for phases that seed while reading the CSR, and the
-    /// request-phase source list. All empty between batches.
+    /// events pulled for one reset vertex. All empty between batches.
     touched_scratch: Vec<VertexId>,
     old_edge_scratch: Vec<(VertexId, Value)>,
     old_edge_bounds: Vec<usize>,
     state_scratch: Vec<Value>,
     edge_scratch: Vec<(VertexId, Value)>,
-    source_scratch: Vec<VertexId>,
+    pull_scratch: Vec<Event>,
 }
 
 impl ShardedEngine {
@@ -561,7 +561,7 @@ impl ShardedEngine {
             old_edge_bounds: Vec::new(),
             state_scratch: Vec::new(),
             edge_scratch: Vec::new(),
-            source_scratch: Vec::new(),
+            pull_scratch: Vec::new(),
         }
     }
 
@@ -1222,11 +1222,11 @@ impl ShardedEngine {
         // place in O(batch · degree) instead of rebuilt.
         self.host.commit_batch(validated);
 
-        // Phase 3 — request events along each impacted vertex's incoming
-        // edges. Workers tagged each reset with (round, emission key base);
-        // sorting by that pair is exactly the order the sequential engine
-        // resets vertices (round-major, slot events in ascending vertex
-        // order before overflow FIFO).
+        // Phase 3 — re-approximate each impacted vertex by pulling its
+        // in-edges (DESIGN.md §3.1). Workers tagged each reset with
+        // (round, emission key base); sorting by that pair is exactly the
+        // order the sequential engine resets vertices (round-major, slot
+        // events in ascending vertex order before overflow FIFO).
         let mut records: Vec<(u64, u128, VertexId)> = Vec::new();
         for sh in &mut self.shards {
             records.append(&mut sh.impacted);
@@ -1240,25 +1240,22 @@ impl ShardedEngine {
             ExecutionMode::Async => records.sort_unstable_by_key(|&(_, _, v)| v),
         }
         let impacted: Vec<VertexId> = records.into_iter().map(|(_, _, v)| v).collect();
-        let mut sources = std::mem::take(&mut self.source_scratch);
-        let identity = self.alg.identity();
+        let mut pulled = std::mem::take(&mut self.pull_scratch);
         for &x in &impacted {
-            let in_deg = self.host.pair().inc.degree(x);
-            self.stats.edge_reads += in_deg as u64;
-            sources.clear();
-            sources.extend(self.host.pair().inc.neighbors(x).map(|e| e.other));
-            for &u in &sources {
-                self.stats.request_events += 1;
-                self.seed_emit(Event::request(u, identity));
-            }
-            // Replay the initializer's contribution for reset seed vertices.
-            if let Some(seed) = self.alg.initial_event(x) {
-                self.seed_emit(Event::regular(x, seed));
+            pulled.clear();
+            let cx = KernelCtx {
+                alg: self.alg.as_ref(),
+                csr: self.host.pair(),
+                delete_strategy: self.config.delete_strategy,
+            };
+            kernel::pull_in_edges(&cx, &self.values, x, &mut self.stats, &mut pulled);
+            for &ev in &pulled {
+                self.seed_emit(ev);
             }
         }
         self.impacted = impacted;
-        sources.clear();
-        self.source_scratch = sources;
+        pulled.clear();
+        self.pull_scratch = pulled;
 
         // Phase 4 — stream inserted edges into regular events.
         self.stream_inserts(batch.insertions());

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use jetstream_algorithms::{oracle, oracle_values, UpdateKind, Workload};
-use jetstream_core::{DeleteStrategy, EngineConfig, StreamingEngine};
+use jetstream_core::{DeleteStrategy, EngineConfig, ShardedEngine, StreamingEngine};
 use jetstream_graph::{gen, AdjacencyGraph, UpdateBatch, VertexId};
 
 /// Comparison tolerance: selective values are exact; accumulative values
@@ -644,6 +644,75 @@ fn sliced_execution_matches_unsliced() {
                 "{} ({strategy:?}): sliced execution diverged",
                 w.name()
             );
+        }
+    }
+}
+
+#[test]
+fn reset_vertex_pulls_its_in_edges_instead_of_rebroadcasting_a_hub() {
+    // x = 1 hangs off the root by its tree edge 0 -> 1; the hub 2 is a
+    // non-tree in-neighbour of x with 1000 further out-edges. Deleting the
+    // tree edge resets x, which must re-approximate by reading the hub's
+    // value over 2 -> 1, not by making the hub re-send over all of its
+    // out-edges. A second batch then deletes 2 -> 1: under DAP only a
+    // pulled event stamped with the hub as its source lets that delete
+    // reset x again.
+    const LEAVES: u32 = 1000;
+    let (x, hub) = (1, 2);
+    let mut g = AdjacencyGraph::new(3 + LEAVES as usize);
+    g.insert_edge(0, x, 1.0).unwrap();
+    g.insert_edge(0, hub, 1.0).unwrap();
+    g.insert_edge(hub, x, 1.0).unwrap();
+    for leaf in 3..3 + LEAVES {
+        g.insert_edge(hub, leaf, 1.0).unwrap();
+    }
+    let hub_out_degree = g.pair().out.degree(hub) as u64;
+    assert!(hub_out_degree > 1000);
+    let mut batch = UpdateBatch::new();
+    batch.delete(0, x);
+    let mut mutated = g.clone();
+    mutated.apply_batch(&batch).unwrap();
+    let mut second = UpdateBatch::new();
+    second.delete(hub, x);
+    let mut cut_off = mutated.clone();
+    cut_off.apply_batch(&second).unwrap();
+
+    for w in Workload::SELECTIVE {
+        let expected = oracle_values(w, &mutated.snapshot(), 0);
+        for strategy in DeleteStrategy::ALL {
+            let config = EngineConfig { delete_strategy: strategy, ..EngineConfig::default() };
+            let mut seq = StreamingEngine::new(w.instantiate(0), g.clone(), config);
+            seq.initial_compute();
+            let seq_stats = seq.apply_update_batch(&batch).unwrap();
+            let mut sharded = ShardedEngine::new(w.instantiate(0), g.clone(), config, 2);
+            sharded.initial_compute();
+            let sharded_stats = sharded.apply_update_batch(&batch).unwrap();
+
+            for (engine, stats, values, converged) in [
+                ("sequential", seq_stats, seq.values(), seq.validate_converged()),
+                ("sharded", sharded_stats, sharded.values(), sharded.validate_converged()),
+            ] {
+                let label = format!("{} {strategy:?} {engine}", w.name());
+                assert!(stats.resets > 0, "{label}: deleting the tree edge must reset x");
+                assert!(
+                    stats.edge_reads < hub_out_degree,
+                    "{label}: {} edge reads, the hub alone has {hub_out_degree} out-edges",
+                    stats.edge_reads
+                );
+                assert!(oracle::values_match(values, &expected), "{label}: diverges from oracle");
+                converged.unwrap_or_else(|e| panic!("{label}: {e}"));
+            }
+
+            seq.apply_update_batch(&second).unwrap();
+            sharded.apply_update_batch(&second).unwrap();
+            let expected = oracle_values(w, &cut_off.snapshot(), 0);
+            for (engine, values) in [("sequential", seq.values()), ("sharded", sharded.values())] {
+                assert!(
+                    oracle::values_match(values, &expected),
+                    "{} {strategy:?} {engine}: x kept a value over a deleted in-edge",
+                    w.name()
+                );
+            }
         }
     }
 }

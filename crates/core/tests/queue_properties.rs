@@ -16,14 +16,15 @@ fn alg() -> Sssp {
 }
 
 /// A random event targeting one of `num_vertices` vertices; ~25% are
-/// delete events (with a source id), ~15% carry the request flag.
+/// delete events (with a source id), ~15% are regular events stamped
+/// with a DAP source.
 fn arb_event(rng: &mut DetRng, num_vertices: usize) -> Event {
     let target = rng.gen_index(num_vertices) as u32;
     let payload = rng.gen_f64() * 10.0;
     if rng.gen_bool(0.25) {
         Event::delete(rng.gen_index(num_vertices) as u32, target, payload)
     } else if rng.gen_bool(0.15) {
-        Event::request(target, payload)
+        Event::regular_from(rng.gen_index(num_vertices) as u32, target, payload)
     } else {
         Event::regular(target, payload)
     }
@@ -220,7 +221,6 @@ impl NaiveQueue {
                     resident.source = event.source;
                 }
                 resident.payload = reduced;
-                resident.request |= event.request;
                 self.stats.coalesced += 1;
             }
         }
@@ -334,8 +334,8 @@ fn contiguous_bounds(rng: &mut DetRng, num_vertices: usize, num_shards: usize) -
 
 /// The observable identity of a drained event, as a sortable tuple.
 /// Payloads compare by bit pattern so the multiset comparison is exact.
-fn fingerprint(ev: &Event) -> (u32, u64, bool, bool, Option<u32>) {
-    (ev.target, ev.payload.to_bits(), ev.is_delete, ev.request, ev.source)
+fn fingerprint(ev: &Event) -> (u32, u64, bool, Option<u32>) {
+    (ev.target, ev.payload.to_bits(), ev.is_delete, ev.source)
 }
 
 #[test]
@@ -382,22 +382,21 @@ fn sharded_queues_coalesce_to_the_same_multiset_as_one_queue() {
             locals[shard].insert(translated, &alg());
         }
 
-        let drain =
-            |queue: &mut CoalescingQueue, lo: u32| -> Vec<(u32, u64, bool, bool, Option<u32>)> {
-                let mut out: Vec<_> = queue
-                    .take_all()
-                    .into_iter()
-                    .map(|mut ev| {
-                        ev.target += lo;
-                        fingerprint(&ev)
-                    })
-                    .collect();
-                while let Some(mut ev) = queue.pop_overflow() {
+        let drain = |queue: &mut CoalescingQueue, lo: u32| -> Vec<(u32, u64, bool, Option<u32>)> {
+            let mut out: Vec<_> = queue
+                .take_all()
+                .into_iter()
+                .map(|mut ev| {
                     ev.target += lo;
-                    out.push(fingerprint(&ev));
-                }
-                out
-            };
+                    fingerprint(&ev)
+                })
+                .collect();
+            while let Some(mut ev) = queue.pop_overflow() {
+                ev.target += lo;
+                out.push(fingerprint(&ev));
+            }
+            out
+        };
 
         let mut merged = drain(&mut single, 0);
         let mut sharded = Vec::new();
@@ -498,9 +497,9 @@ fn outbox_folding_commutes_with_shipping_for_selective_streams() {
     // sender's outbox *before* shipping must be invisible to the
     // receiver's final state, because the reduce (min, for SSSP) is
     // associative and commutative — fold-then-ship and ship-then-fold
-    // reach the same slots. Feed one stream of regular/request events
-    // both directly into a receiver and through randomly-flushed
-    // outboxes into another; the fully drained multisets must match.
+    // reach the same slots. Feed one stream of regular events both
+    // directly into a receiver and through randomly-flushed outboxes
+    // into another; the fully drained multisets must match.
     // Delete events are excluded by construction: a delete meeting a
     // regular resident parks in overflow instead of folding, so its
     // placement is arrival-order-dependent by design — the engine-level
@@ -518,11 +517,7 @@ fn outbox_folding_commutes_with_shipping_for_selective_streams() {
             if rng.gen_bool(0.75) {
                 let target = rng.gen_index(num_vertices) as u32;
                 let payload = rng.gen_f64() * 10.0;
-                let ev = if rng.gen_bool(0.15) {
-                    Event::request(target, payload)
-                } else {
-                    Event::regular(target, payload)
-                };
+                let ev = Event::regular(target, payload);
                 direct.insert(ev, &alg());
                 outboxes[rng.gen_index(num_senders)].insert(ev, &alg());
             } else {

@@ -304,7 +304,7 @@ impl Csr {
 /// Out-edge and in-edge CSR snapshots of the same graph version.
 ///
 /// JetStream reads outgoing edges during propagation and incoming edges when
-/// issuing *request* events in the re-approximation phase (§3.4), so the host
+/// re-approximating reset vertices from their in-neighbours (§3.4), so the host
 /// maintains both structures (§4.7). Both views are delta-maintainable in
 /// place via [`CsrPair::apply_batch`](crate::CsrPair::apply_batch).
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -6,7 +6,7 @@
 //! * [`Csr`] — compressed sparse row adjacency, the storage format the
 //!   accelerator reads from its device memory (§4.7 of the paper).
 //! * [`CsrPair`] — out-edge and in-edge CSR for the same graph; JetStream
-//!   needs incoming edges to issue *request* events during recovery.
+//!   needs incoming edges to re-approximate reset vertices during recovery.
 //! * [`AdjacencyGraph`] — the host-side mutable, versioned graph. The paper
 //!   assumes the host maintains the evolving edge list and hands the
 //!   accelerator a CSR of each version; `AdjacencyGraph` plays that role

@@ -177,7 +177,7 @@ impl AcceleratorSim {
             let phase_start = state.cycle;
             for round in &phase.rounds {
                 self.replay_round(
-                    &round.ops, trace, &mem, &mut dram, &mut state, &partition, &bin_of,
+                    &round.ops, trace, graph, &mem, &mut dram, &mut state, &partition, &bin_of,
                 );
             }
             phase_cycles.push((phase.phase, state.cycle - phase_start));
@@ -202,6 +202,7 @@ impl AcceleratorSim {
         &self,
         ops: &[TraceOp],
         trace: &Trace,
+        graph: &CsrPair,
         mem: &MemoryMap,
         dram: &mut Dram,
         state: &mut ReplayState,
@@ -282,6 +283,22 @@ impl AcceleratorSim {
                         edges_ready = dram.access(edge_addr + l * LINE_BYTES, apply_t, false);
                     }
                     state.bytes_used += op.edges_read as u64 * EDGE_BYTES;
+                    if op.kind == OpKind::RequestSetup {
+                        // The pull reads every in-neighbour's vertex record
+                        // (its current value) once the in-edge list
+                        // arrived. Ids come from `graph`, the version the
+                        // pull read; a row that has since shrunk charges
+                        // the remainder at the reset vertex's own record.
+                        let issue = edges_ready;
+                        let sources = graph.inc.neighbor_targets(op.vertex);
+                        for k in 0..op.edges_read as usize {
+                            let u = sources.get(k).copied().unwrap_or(op.vertex);
+                            let addr =
+                                (mem.vertex_base + u as u64 * cfg.vertex_bytes) & !(LINE_BYTES - 1);
+                            edges_ready = edges_ready.max(dram.access(addr, issue, false));
+                        }
+                        state.bytes_used += op.edges_read as u64 * cfg.vertex_bytes;
+                    }
                 }
 
                 // Event generation: four streams per processor, one event

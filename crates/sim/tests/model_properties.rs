@@ -1,10 +1,15 @@
 //! Property-based tests on the timing substrate: conservation and
 //! monotonicity laws the DRAM model must satisfy for any access pattern,
-//! and determinism of the DES kernel under arbitrary seeding.
+//! determinism of the DES kernel under arbitrary seeding, and the replay's
+//! charge for re-approximation's in-edge pulls.
 
+use jetstream_algorithms::Bfs;
+use jetstream_core::trace::Trace;
+use jetstream_core::{DeleteStrategy, EngineConfig, Phase, StreamingEngine};
+use jetstream_graph::{gen, UpdateBatch};
 use jetstream_sim::crossbar::{run_crossbar, Flit};
 use jetstream_sim::dram::Dram;
-use jetstream_sim::{SimConfig, LINE_BYTES};
+use jetstream_sim::{AcceleratorSim, SimConfig, LINE_BYTES};
 use jetstream_testkit::{run_cases, DetRng};
 
 fn arb_addrs(rng: &mut DetRng, max_len: usize, bits: u32) -> Vec<u64> {
@@ -106,5 +111,49 @@ fn crossbar_delivers_everything_deterministically() {
             "finish {} cannot beat the output-port bound {max_load}",
             a.finish_time
         );
+    });
+}
+
+/// Re-approximation reads the value of every in-neighbour of a reset
+/// vertex, so replaying a batch's request-setup phase alone must issue at
+/// least one DRAM read per pulled in-edge (`request_events`) and consume
+/// one vertex record for each: the simulated accelerator pays for the
+/// pull the software engine does.
+#[test]
+fn request_setup_charges_one_vertex_read_per_pulled_in_edge() {
+    run_cases("request_setup_charges_one_vertex_read_per_pulled_in_edge", 16, |rng| {
+        let n = rng.gen_range(64, 256);
+        let g = gen::erdos_renyi(n, n * rng.gen_range(4, 12), rng.next_u64());
+        let config = EngineConfig { delete_strategy: DeleteStrategy::Tag, ..Default::default() };
+        let mut engine = StreamingEngine::new(Box::new(Bfs::new(0)), g, config);
+        engine.initial_compute();
+        let mut batch = UpdateBatch::new();
+        for (u, v, _) in engine.csr().out.iter_edges() {
+            if rng.gen_bool(0.1) {
+                batch.delete(u, v);
+            }
+        }
+        engine.set_tracing(true);
+        let stats = engine.apply_update_batch(&batch).expect("deletions of existing edges");
+        let full = engine.take_trace();
+        let trace = Trace {
+            phases: full
+                .phases
+                .iter()
+                .filter(|p| p.phase == Phase::RequestSetup)
+                .cloned()
+                .collect(),
+            targets: full.targets.clone(),
+        };
+        let config = SimConfig::jetstream(DeleteStrategy::Tag);
+        let vertex_bytes = config.vertex_bytes;
+        let report = AcceleratorSim::new(config).replay(&trace, engine.csr());
+        assert!(
+            report.dram.reads >= stats.request_events,
+            "{} DRAM reads for {} pulled in-edges",
+            report.dram.reads,
+            stats.request_events
+        );
+        assert!(report.bytes_used >= stats.request_events * vertex_bytes);
     });
 }

@@ -23,7 +23,7 @@ pub struct OpInfo {
 }
 
 /// Every operator family, in report order.
-pub const OPERATORS: [OpInfo; 12] = [
+pub const OPERATORS: [OpInfo; 15] = [
     OpInfo {
         id: "cmp-boundary", description: "comparison boundary flip: `<` ↔ `<=`, `>` ↔ `>=`"
     },
@@ -43,6 +43,18 @@ pub const OPERATORS: [OpInfo; 12] = [
     OpInfo {
         id: "delete-strategy-swap",
         description: "`DeleteStrategy::{Tag,Vap,Dap}` cyclic swap (kernel reset guard)",
+    },
+    OpInfo {
+        id: "dap-source-drop",
+        description: "`regular_from(s, t, d)` → `regular(t, d)`: the event loses its DAP source",
+    },
+    OpInfo {
+        id: "reseed-drop",
+        description: "`initial_event(v)` → `initial_event(v).filter(|_| false)`: no reseed",
+    },
+    OpInfo {
+        id: "vertex-swap",
+        description: "`[u as usize]` → `[x as usize]`, `x` the fn's only `VertexId` parameter",
     },
 ];
 
@@ -309,8 +321,67 @@ fn match_ident(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
             };
             out.push(cand(f, "delete-strategy-swap", ci, tok.start, tok.end, repl));
         }
+        // `regular_from(s, ` → `regular(`: the first argument is the source.
+        "regular_from"
+            if f.is_punct(ci + 1, "(")
+                && ci + 4 < f.code.len()
+                && f.ct(ci + 2).kind == TokenKind::Ident
+                && f.is_punct(ci + 3, ",") =>
+        {
+            out.push(cand(f, "dap-source-drop", ci, tok.start, f.ct(ci + 4).start, "regular("));
+        }
+        // A method call `.initial_event(..)`: filter its answer away.
+        "initial_event" if prev_is(".") && f.is_punct(ci + 1, "(") => {
+            if let Some(close) = matching_paren(f, ci + 1) {
+                let (start, end) = (f.ct(close).start, f.ct(close).end);
+                out.push(cand(f, "reseed-drop", close, start, end, ").filter(|_| false)"));
+            }
+        }
+        name if prev_is("[")
+            && f.is_ident(ci + 1, "as")
+            && f.is_ident(ci + 2, "usize")
+            && f.is_punct(ci + 3, "]") =>
+        {
+            if let Some(param) = sole_vertex_param(f, ci) {
+                if param != name {
+                    out.push(cand(f, "vertex-swap", ci, tok.start, tok.end, param));
+                }
+            }
+        }
         _ => {}
     }
+}
+
+/// Index of the `)` closing the `(` at code token `open`.
+fn matching_paren(f: &SourceFile<'_>, open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for i in open..f.code.len() {
+        if f.is_punct(i, "(") {
+            depth += 1;
+        } else if f.is_punct(i, ")") {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
+}
+
+/// The name of the only `VertexId`-typed parameter of the nearest `fn`
+/// before code token `ci`, if that fn has exactly one.
+fn sole_vertex_param<'f>(f: &'f SourceFile<'_>, ci: usize) -> Option<&'f str> {
+    let fn_tok = (0..ci).rev().find(|&i| f.is_ident(i, "fn"))?;
+    let open = (fn_tok..ci).find(|&i| f.is_punct(i, "("))?;
+    let close = matching_paren(f, open)?;
+    let mut params = (open + 1..close.saturating_sub(2)).filter(|&i| {
+        f.ct(i).kind == TokenKind::Ident
+            && f.is_punct(i + 1, ":")
+            && f.is_ident(i + 2, "VertexId")
+            && (f.is_punct(i + 3, ",") || i + 3 == close)
+    });
+    let first = params.next()?;
+    params.next().is_none().then(|| f.ctext(first))
 }
 
 fn match_number(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
@@ -334,4 +405,55 @@ fn match_number(f: &SourceFile<'_>, ci: usize, out: &mut Vec<Candidate>) {
     }
     let repl = format!("{}{}", if first == '0' { '1' } else { '0' }, suffix);
     out.push(cand(f, "const-01", ci, tok.start, tok.end, &repl));
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::Path;
+
+    use crate::mutate::sites::discover_file;
+    use crate::SourceFile;
+
+    /// Every `op` mutant of `src`, applied.
+    fn mutants(src: &str, op: &str) -> Vec<String> {
+        let file = SourceFile::new(Path::new("crates/core/src/k.rs"), src);
+        discover_file(&file)
+            .into_iter()
+            .filter(|s| s.op == op)
+            .map(|s| format!("{}{}{}", &src[..s.start], s.repl, &src[s.end..]))
+            .collect()
+    }
+
+    #[test]
+    fn dap_source_drop_removes_the_first_argument() {
+        let src = "fn f(u: VertexId) { e(Event::regular_from(u, v, d)); }\n\
+                   pub fn regular_from(source: VertexId, t: VertexId) {}\n";
+        assert_eq!(
+            mutants(src, "dap-source-drop"),
+            ["fn f(u: VertexId) { e(Event::regular(v, d)); }\n\
+              pub fn regular_from(source: VertexId, t: VertexId) {}\n"]
+        );
+    }
+
+    #[test]
+    fn reseed_drop_filters_the_whole_call() {
+        let src = "fn f() { if let Some(s) = cx.alg.initial_event(g(x)) { p(s); } }\n\
+                   fn initial_event(v: u32) {}\n";
+        assert_eq!(
+            mutants(src, "reseed-drop"),
+            ["fn f() { if let Some(s) = cx.alg.initial_event(g(x)).filter(|_| false) { p(s); } }\n\
+              fn initial_event(v: u32) {}\n"]
+        );
+    }
+
+    #[test]
+    fn vertex_swap_needs_exactly_one_vertex_parameter() {
+        let one = "fn f(v: &[f64], x: VertexId) { let u = 1; v[u as usize]; v[x as usize]; }\n";
+        assert_eq!(
+            mutants(one, "vertex-swap"),
+            ["fn f(v: &[f64], x: VertexId) { let u = 1; v[x as usize]; v[x as usize]; }\n"]
+        );
+        let two = "fn f(v: &[f64], x: VertexId, y: VertexId) { v[u as usize]; }\n";
+        assert!(mutants(two, "vertex-swap").is_empty());
+    }
 }

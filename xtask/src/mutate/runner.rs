@@ -24,7 +24,7 @@
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use super::patch::PatchGuard;
@@ -349,10 +349,15 @@ fn suite_cmd(root: &Path, suite: &Suite) -> Command {
 }
 
 /// Runs `cmd` with stdio discarded; `Ok(Some(success))` on exit,
-/// `Ok(None)` on timeout (the child is killed).
+/// `Ok(None)` on timeout. The child leads a process group of its own and
+/// a timeout kills the whole group: `cargo test` runs each test binary as
+/// its child, and killing only `cargo` would leave a runaway mutant
+/// spinning at full CPU, skewing every later timing and timeout.
 fn run_cmd(mut cmd: Command, timeout_ms: u64) -> Result<Option<bool>, String> {
     let program = cmd.get_program().to_string_lossy().into_owned();
     cmd.stdin(Stdio::null()).stdout(Stdio::null()).stderr(Stdio::null());
+    #[cfg(unix)]
+    std::os::unix::process::CommandExt::process_group(&mut cmd, 0);
     let mut child = cmd.spawn().map_err(|e| format!("spawning {program}: {e}"))?;
     let t0 = Instant::now();
     loop {
@@ -362,12 +367,26 @@ fn run_cmd(mut cmd: Command, timeout_ms: u64) -> Result<Option<bool>, String> {
             Err(e) => return Err(format!("waiting on {program}: {e}")),
         }
         if t0.elapsed() >= Duration::from_millis(timeout_ms) {
-            let _ = child.kill();
+            kill_group(&mut child);
             let _ = child.wait();
             return Ok(None);
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// Kills `child` and, on unix, every process in the group it leads (std
+/// has no group kill and the workspace denies `unsafe`, so this goes
+/// through `kill(1)`).
+fn kill_group(child: &mut Child) {
+    #[cfg(unix)]
+    let _ = Command::new("kill")
+        .args(["-KILL", "--", &format!("-{}", child.id())])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status();
+    let _ = child.kill();
 }
 
 /// Builds the pristine tree, then replays every suite once: the manifest
@@ -477,4 +496,36 @@ fn check_gates(results: &[MutantResult]) -> Result<bool, String> {
     }
     println!("mutate --check: {}", if ok { "all gates passed" } else { "FAILED" });
     Ok(ok)
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+
+    /// True while `pid` exists and is not a zombie (a zombie no longer
+    /// runs; it only waits for its new parent to reap it).
+    fn running(pid: &str) -> bool {
+        fs::read_to_string(Path::new("/proc").join(pid).join("stat"))
+            .is_ok_and(|stat| stat.rsplit(')').next().is_some_and(|rest| !rest.starts_with(" Z")))
+    }
+
+    #[test]
+    fn a_timeout_kills_the_whole_process_group() {
+        let dir = std::env::temp_dir().join(format!("jetmut-run-cmd-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("temp dir");
+        let pid_file = dir.join("grandchild.pid");
+        let mut cmd = Command::new("sh");
+        cmd.arg("-c").arg(format!("sleep 60 & echo $! > '{}'; wait", pid_file.display()));
+        let t0 = Instant::now();
+        assert_eq!(run_cmd(cmd, 1000).expect("spawn sh"), None, "the child must time out");
+        assert!(t0.elapsed() < Duration::from_secs(30), "the timeout must not wait for the child");
+        let pid = fs::read_to_string(&pid_file).expect("sh wrote its child's pid");
+        let pid = pid.trim();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while running(pid) {
+            assert!(Instant::now() < deadline, "grandchild {pid} outlived the timeout");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
